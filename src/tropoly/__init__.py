@@ -29,7 +29,6 @@ from .polynomial import (
     ZERO_POLY,
     format_poly,
     from_terms,
-    normalize,
     parse,
     parse_poly,
     poly_from_json,
@@ -76,7 +75,6 @@ __all__ = [
     "is_least_coefficient",
     "lower_envelope",
     "multiplicity",
-    "normalize",
     "parse",
     "parse_poly",
     "parse_scalar",

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .envelope import hull_points, supports_degree
+from .envelope import hull_corners, hull_edges, supports_degree
 from .errors import DomainError
 from .polynomial import TropPoly
 from .scalar import INFINITY, _wrap
@@ -31,6 +32,15 @@ class CanonicalPoly:
     def __post_init__(self):
         if not is_canonical(self.poly):
             raise ValueError("polynomial is not in least-coefficient form")
+
+    @classmethod
+    def _trusted(cls, poly: TropPoly) -> "CanonicalPoly":
+        """Wrap a polynomial built in least-coefficient form by this
+        package (read off a hull or a sorted factorization), skipping
+        the O(n) re-check."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "poly", poly)
+        return obj
 
 
 def canonicalize_naive(f: TropPoly) -> CanonicalPoly:
@@ -60,26 +70,39 @@ def canonicalize_naive(f: TropPoly) -> CanonicalPoly:
     return CanonicalPoly(TropPoly(r, out))
 
 
+def progression(start: Fraction, step: Fraction, m: int) -> list:
+    """The scalars start + step, start + 2·step, ..., start + m·step.
+
+    Canonical coefficients run along each lower-hull edge in such a
+    progression, so it is how both `canonicalize` and
+    `factorization.expand` build them: one integer add per value, over
+    a denominator common to the whole run.
+    """
+    den = start.denominator // gcd(start.denominator, step.denominator) * step.denominator
+    num = start.numerator * (den // start.denominator)
+    inc = step.numerator * (den // step.denominator)
+    out = []
+    for _ in range(m):
+        num += inc
+        out.append(_wrap(Fraction(num, den)))
+    return out
+
+
 def canonicalize(f: TropPoly) -> CanonicalPoly:
     """Production canonicalization via the lower hull: b_j is the hull's
-    value at abscissa j, which is a_j on hull points and a single chord
-    evaluation elsewhere. Linear after the degree-sorted scan."""
+    value at abscissa j, which is a_j on hull points and, between two
+    adjacent hull points, a step along the chord joining them. Linear
+    after the degree-sorted scan."""
     if f.is_zero:
         raise DomainError("the zero polynomial has no canonical form")
-    hull = hull_points(f)
     r = f.low_degree
-    out = []
-    t = 0
-    for j in range(r, f.degree + 1):
-        while t + 1 < len(hull) and hull[t + 1][0] <= j:
-            t += 1
-        i, ni, di = hull[t]
-        if i == j:
-            out.append(f.coeffs[j - r])
-            continue
-        k, nk, dk = hull[t + 1]
-        out.append(_wrap(Fraction(ni * (k - j) * dk + nk * (j - i) * di, di * dk * (k - i))))
-    return CanonicalPoly(TropPoly(r, out))
+    coeffs = f.coeffs
+    out = [coeffs[0]]
+    for i, k, x in hull_edges(f):
+        # the chord from (i, a_i) to (k, a_k) has slope -x
+        out += progression(coeffs[i - r].frac, -x.frac, k - i - 1)
+        out.append(coeffs[k - r])
+    return CanonicalPoly._trusted(TropPoly(r, out))
 
 
 def is_canonical(f: TropPoly) -> bool:
@@ -110,8 +133,12 @@ def is_least_coefficient(f: TropPoly, i: int) -> bool:
 
 
 def equivalent(f: TropPoly, g: TropPoly) -> bool:
-    """Decide whether f and g define the same function on all of Q, by
-    comparing canonical forms coefficient-wise."""
+    """Decide whether f and g define the same function on all of Q.
+
+    A nonzero polynomial's function is fixed by the corners of its lower
+    hull, and fixes them, so this compares the two hulls with collinear
+    points dropped: O(h), with no canonical coefficients built.
+    """
     if f.is_zero or g.is_zero:
         return f.is_zero and g.is_zero
-    return canonicalize(f).poly == canonicalize(g).poly
+    return hull_corners(f) == hull_corners(g)

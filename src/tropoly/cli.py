@@ -21,7 +21,8 @@ EXIT_DOMAIN = 1
 EXIT_PARSE = 2
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
+    """The argument parser and its subcommand table, verb -> subparser."""
     ap = argparse.ArgumentParser(
         prog="tropoly",
         description="Exact min-plus polynomial calculator over the rationals.",
@@ -53,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb, help=help_)
         p.add_argument("lhs")
         p.add_argument("rhs")
-    return ap
+    return ap, sub.choices
 
 
 def _emit_poly(f, as_json: bool) -> str:
@@ -122,16 +123,19 @@ def _run(args) -> str:
     raise AssertionError(f"unhandled verb {args.verb}")
 
 
-_VERBS = {"canon", "factor", "expand", "roots", "eval", "equiv", "mul", "add", "plot"}
+_HELP = {"-h", "--help"}
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
+    ap, verbs = _build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    # polynomials may start with '-'; everything after the verb is positional
+    # Polynomials may start with '-', so everything after the verb is
+    # positional, unless it asks for the verb's help: no polynomial,
+    # scalar or JSON argument can be spelled -h or --help.
     for at, token in enumerate(argv):
-        if token in _VERBS:
-            argv.insert(at + 1, "--")
+        if token in verbs:
+            if _HELP.isdisjoint(argv[at + 1:]):
+                argv.insert(at + 1, "--")
             break
     try:
         args = ap.parse_args(argv)

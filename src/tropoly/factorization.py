@@ -10,15 +10,13 @@ multiplicity).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import accumulate
 from typing import Tuple
 
-from .canonical import CanonicalPoly
-from .envelope import hull_points
+from .canonical import CanonicalPoly, progression
+from .envelope import breakpoints, hull_edges
 from .errors import DomainError
-from .polynomial import TropPoly, Term, from_terms
-from .scalar import ExtendedRational, format_scalar, parse_scalar
+from .polynomial import TropPoly, Term, from_terms, json_int, json_scalar, json_scalars
+from .scalar import ExtendedRational, format_scalar
 
 
 @dataclass(frozen=True)
@@ -64,10 +62,8 @@ def factor(f: TropPoly) -> Factorization:
     """
     if f.is_zero:
         raise DomainError("the zero polynomial has no factorization")
-    hull = hull_points(f)
     roots = []
-    for (i, ni, di), (k, nk, dk) in zip(reversed(hull[:-1]), reversed(hull[1:])):
-        d = ExtendedRational(Fraction(ni * dk - nk * di, di * dk * (k - i)))
+    for i, k, d in reversed(hull_edges(f)):
         roots.extend([d] * (k - i))
     return Factorization(
         leading=f.coeffs[-1],
@@ -76,13 +72,30 @@ def factor(f: TropPoly) -> Factorization:
     )
 
 
+def _runs(roots) -> list:
+    """[root, multiplicity] pairs for the runs of equal values in a
+    sorted root sequence."""
+    runs: list = []
+    for d in roots:
+        if runs and (runs[-1][0] is d or runs[-1][0] == d):
+            runs[-1][1] += 1
+        else:
+            runs.append([d, 1])
+    return runs
+
+
 def expand(fac: Factorization) -> CanonicalPoly:
     """Multiply the factorization back out. The coefficient m steps below
-    the top degree is leading plus the sum of the m smallest roots."""
-    lead = fac.leading.frac
-    partial = list(accumulate((d.frac for d in fac.roots), initial=Fraction(0)))
-    coeffs = [ExtendedRational(lead + s) for s in reversed(partial)]
-    return CanonicalPoly(TropPoly(fac.monomial_degree, coeffs))
+    the top degree is leading plus the sum of the m smallest roots.
+
+    Over a run of m equal roots d the coefficients step by d, so each run
+    is one arithmetic `progression`.
+    """
+    coeffs = [fac.leading]
+    for d, m in _runs(fac.roots):
+        coeffs += progression(coeffs[-1].frac, d.frac, m)
+    coeffs.reverse()
+    return CanonicalPoly._trusted(TropPoly(fac.monomial_degree, coeffs))
 
 
 def expand_via_product(fac: Factorization) -> TropPoly:
@@ -96,19 +109,17 @@ def expand_via_product(fac: Factorization) -> TropPoly:
 
 def zero_locus(f: TropPoly) -> list:
     """Sorted distinct roots of f: the points where at least two
-    monomials tie for the minimum."""
-    distinct = []
-    for d in factor(f).roots:
-        if not distinct or distinct[-1] != d:
-            distinct.append(d)
-    return distinct
+    monomials tie for the minimum, i.e. the envelope's breakpoints.
+    O(h) after the hull."""
+    return breakpoints(f)
 
 
 def multiplicity(f: TropPoly, d: ExtendedRational) -> int:
-    """Number of linear factors (x ⊕ d) in the factorization of f."""
+    """Number of linear factors (x ⊕ d) in the factorization of f: the
+    total length of the hull edges that tie at d."""
     if d.is_infinite:
         raise DomainError("roots are finite")
-    return sum(1 for root in factor(f).roots if root == d)
+    return sum(k - i for i, k, x in hull_edges(f) if x == d)
 
 
 # -- text and JSON forms ---------------------------------------------------
@@ -121,14 +132,8 @@ def format_factorization(fac: Factorization) -> str:
         parts.append("x")
     elif fac.monomial_degree > 1:
         parts.append(f"x^{fac.monomial_degree}")
-    groups = []
-    for d in fac.roots:
-        if groups and groups[-1][0] == d:
-            groups[-1][1] += 1
-        else:
-            groups.append([d, 1])
     factors = []
-    for d, m in groups:
+    for d, m in _runs(fac.roots):
         base = f"(x + {format_scalar(d)})"
         factors.append(base if m == 1 else f"{base}^{m}")
     if factors:
@@ -145,8 +150,10 @@ def factorization_to_json(fac: Factorization) -> dict:
 
 
 def factorization_from_json(data: dict) -> Factorization:
+    """Inverse of factorization_to_json; roots may come in any order.
+    A field of the wrong JSON type raises ParseError, never a coercion."""
     return Factorization(
-        leading=parse_scalar(data["leading"]),
-        monomial_degree=int(data["monomial_degree"]),
-        roots=tuple(sorted(parse_scalar(s) for s in data["roots"])),
+        leading=json_scalar(data, "leading"),
+        monomial_degree=json_int(data, "monomial_degree"),
+        roots=tuple(sorted(json_scalars(data, "roots"))),
     )

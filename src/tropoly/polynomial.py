@@ -9,7 +9,6 @@ a nonzero polynomial never are.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, ParseError
@@ -27,18 +26,20 @@ class Term(NamedTuple):
     exponent: int
 
 
-#: A parsed expression: raw (coefficient, exponent) terms, duplicates allowed.
-PolyExpr = list
-
-
 class TropPoly:
-    """Immutable tropical polynomial. Build with `from_terms` or `normalize`."""
+    """Immutable tropical polynomial. Build with `from_terms`.
 
-    __slots__ = ("low_degree", "coeffs", "_hull")
+    `low_degree` and `coeffs` are read-only, so the lower hull and its
+    edges, memoized on first use (see `envelope.hull_points` and
+    `envelope.hull_edges`), always describe them.
+    """
+
+    __slots__ = ("_low_degree", "_coeffs", "_hull", "_edges")
 
     def __init__(self, low_degree: int, coeffs: Sequence[ExtendedRational]):
         coeffs = tuple(coeffs)
         self._hull = None  # lazily memoized by envelope.hull_points
+        self._edges = None  # lazily memoized by envelope.hull_edges
         if coeffs:
             if low_degree < 0:
                 raise ValueError("negative degree")
@@ -46,10 +47,20 @@ class TropPoly:
                 raise ValueError("end coefficients of a nonzero polynomial must be finite")
         else:
             low_degree = 0
-        self.low_degree = low_degree
-        self.coeffs = coeffs
+        self._low_degree = low_degree
+        self._coeffs = coeffs
 
     # -- structure ---------------------------------------------------------
+
+    @property
+    def low_degree(self) -> int:
+        """Least supported degree r; 0 for the zero polynomial."""
+        return self._low_degree
+
+    @property
+    def coeffs(self) -> tuple:
+        """The dense coefficient run [a_r, ..., a_n]."""
+        return self._coeffs
 
     @property
     def is_zero(self) -> bool:
@@ -88,24 +99,27 @@ class TropPoly:
     # -- algebra -----------------------------------------------------------
 
     def evaluate(self, x0: ExtendedRational) -> ExtendedRational:
-        """min over supported degrees i of a_i + i·x0; inf for the zero polynomial."""
+        """min over supported degrees i of a_i + i·x0; inf for the zero
+        polynomial. Read off the memoized lower hull: O(log h) for h hull
+        points once the hull is built."""
         if x0.is_infinite:
             raise DomainError("evaluation at infinity is undefined")
-        if not self.coeffs:
+        if not self._coeffs:
             return INFINITY
-        x = x0.frac
-        return ExtendedRational(min(c.frac + i * x for c, i in self.terms()))
+        from .envelope import evaluate_at  # envelope imports this module
+
+        return evaluate_at(self, x0.frac)
 
     def argmin_monomials(self, x0: ExtendedRational) -> set:
-        """Degrees whose monomial attains the minimum at x0."""
-        if not self.coeffs:
+        """Degrees whose monomial attains the minimum at x0: a run of
+        collinear hull points, found in O(log h) plus its length."""
+        if not self._coeffs:
             raise DomainError("the zero polynomial has no monomials")
         if x0.is_infinite:
             raise DomainError("evaluation at infinity is undefined")
-        x = x0.frac
-        values = [(c.frac + i * x, i) for c, i in self.terms()]
-        best = min(v for v, _ in values)
-        return {i for v, i in values if v == best}
+        from .envelope import argmin_at  # envelope imports this module
+
+        return argmin_at(self, x0.frac)
 
     def __add__(self, other: "TropPoly") -> "TropPoly":
         """Pointwise tropical sum (coefficient-wise min)."""
@@ -137,7 +151,7 @@ class TropPoly:
 ZERO_POLY = TropPoly(0, ())
 
 
-def from_terms(terms: PolyExpr) -> TropPoly:
+def from_terms(terms: list) -> TropPoly:
     """Lower raw terms to a TropPoly: min-merge duplicate exponents and
     trim infinite ends. All-inf (or empty) input gives the zero polynomial."""
     merged: dict = {}
@@ -151,13 +165,6 @@ def from_terms(terms: PolyExpr) -> TropPoly:
         return ZERO_POLY
     low, high = min(finite), max(finite)
     return TropPoly(low, [merged.get(i, INFINITY) for i in range(low, high + 1)])
-
-
-# Alias matching the lowering step's conventional name.
-normalize = from_terms
-
-poly_add = TropPoly.__add__
-poly_mul = TropPoly.__mul__
 
 
 # -- text form -------------------------------------------------------------
@@ -212,7 +219,7 @@ class _Parser:
         at = tok[2] if tok else len(self.text)
         raise ParseError(message, at)
 
-    def poly(self) -> PolyExpr:
+    def poly(self) -> list:
         if not self.tokens:
             raise ParseError("empty input", 0)
         terms = [self.term()]
@@ -280,9 +287,10 @@ class _Parser:
         return e
 
 
-def parse_poly(text: str) -> PolyExpr:
+def parse_poly(text: str) -> list:
     """Parse the textual grammar: terms joined by '+', each term
-    [coef]['*']['x'['^' exp]], coefficients "p/q" rationals or "inf"."""
+    [coef]['*']['x'['^' exp]], coefficients "p/q" rationals or "inf".
+    Returns the raw Terms in input order, duplicates allowed."""
     return _Parser(text).poly()
 
 
@@ -320,6 +328,41 @@ def poly_to_json(f: TropPoly) -> dict:
 
 
 def poly_from_json(data: dict) -> TropPoly:
-    low = data["low_degree"]
-    coeffs = [parse_scalar(s) for s in data["coeffs"]]
+    """Inverse of poly_to_json. A malformed object raises ParseError."""
+    low = json_int(data, "low_degree")
+    coeffs = json_scalars(data, "coeffs")
+    if low < 0:
+        raise ParseError("'low_degree' must be non-negative", 0)
     return from_terms([Term(c, low + j) for j, c in enumerate(coeffs)])
+
+
+def _json_field(data, key: str):
+    if not isinstance(data, dict):
+        raise ParseError("expected a JSON object", 0)
+    if key not in data:
+        raise ParseError(f"missing key {key!r}", 0)
+    return data[key]
+
+
+def json_int(data: dict, key: str) -> int:
+    """data[key] as an int; a bool, float or anything else raises ParseError."""
+    value = _json_field(data, key)
+    if type(value) is not int:  # bool is a subclass of int
+        raise ParseError(f"{key!r} must be an integer", 0)
+    return value
+
+
+def json_scalar(data: dict, key: str) -> ExtendedRational:
+    """data[key], which must be a string, parsed as a scalar."""
+    value = _json_field(data, key)
+    if not isinstance(value, str):
+        raise ParseError(f"{key!r} must be a string", 0)
+    return parse_scalar(value)
+
+
+def json_scalars(data: dict, key: str) -> list:
+    """data[key], which must be a list of strings, parsed as scalars."""
+    value = _json_field(data, key)
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise ParseError(f"{key!r} must be a list of strings", 0)
+    return [parse_scalar(s) for s in value]

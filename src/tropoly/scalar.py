@@ -33,6 +33,8 @@ class ExtendedRational:
     def __init__(self, value: Union[RationalLike, None]):
         if value is None:
             self._frac = None
+        elif type(value) is Fraction:
+            self._frac = value  # immutable, so it is shared, not copied
         elif isinstance(value, ExtendedRational):
             self._frac = value._frac
         elif isinstance(value, (int, Fraction)):

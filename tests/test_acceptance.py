@@ -26,7 +26,7 @@ from tropoly import (
 from tropoly.cli import main
 from tropoly.polynomial import format_poly
 
-from conftest import random_rational
+from conftest import random_rational, scan_argmin, scan_evaluate
 
 
 @contextlib.contextmanager
@@ -102,7 +102,8 @@ def test_criterion_5_equivalence_soundness(corpus):
             c = canonicalize(f).poly
             for x in _sample_grid(f):
                 x = ExtendedRational(x)
-                assert f.evaluate(x) == c.evaluate(x)
+                # f over all of its terms, the canonical form over its hull
+                assert scan_evaluate(f, x) == c.evaluate(x)
 
 
 def test_criterion_6_zero_locus_characterization(corpus):
@@ -112,13 +113,13 @@ def test_criterion_6_zero_locus_characterization(corpus):
             c = canonicalize(f).poly
             roots = set(zero_locus(f))
             for d in roots:
-                assert len(c.argmin_monomials(d)) >= 2
+                assert len(scan_argmin(c, d)) >= 2
             picked = 0
             while picked < 5:
                 x = ExtendedRational(random_rational(rng))
                 if x in roots:
                     continue
-                assert len(c.argmin_monomials(x)) == 1
+                assert len(scan_argmin(c, x)) == 1
                 picked += 1
 
 

@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropoly import (
     CanonicalPoly,
     DomainError,
     ExtendedRational,
+    INFINITY,
+    TropPoly,
     ZERO_POLY,
     breakpoints,
     canonicalize,
@@ -19,7 +22,7 @@ from tropoly import (
     rational,
 )
 
-from conftest import random_poly, trop_polys
+from conftest import canonically_equal, random_poly, trop_polys
 
 
 def q(n, d=1):
@@ -166,6 +169,37 @@ class TestEquivalent:
     def test_zero_poly_cases(self):
         assert equivalent(ZERO_POLY, ZERO_POLY) is True
         assert equivalent(ZERO_POLY, parse("1")) is False
+
+    @given(trop_polys(), trop_polys())
+    @settings(max_examples=150)
+    def test_matches_canonical_forms(self, f, g):
+        assert equivalent(f, g) == canonically_equal(f, g)
+
+    @given(trop_polys(allow_zero=False), st.data())
+    @settings(max_examples=150)
+    def test_matches_canonical_forms_on_variants(self, f, data):
+        """Variants of f that keep or break equivalence, checked against
+        canonical equality both ways round."""
+        j = data.draw(st.integers(f.low_degree, f.degree))
+        new = data.draw(st.sampled_from([INFINITY, q(-1), q(1, 3), q(25)]))
+        coeffs = list(f.coeffs)
+        coeffs[j - f.low_degree] = new
+        variants = [canonicalize(f).poly, parse("0") * f]
+        if 0 < j - f.low_degree < len(coeffs) - 1 or not new.is_infinite:
+            variants.append(TropPoly(f.low_degree, coeffs))
+        for g in variants:
+            assert equivalent(f, g) == equivalent(g, f) == canonically_equal(f, g)
+
+    def test_matches_canonical_forms_seeded(self):
+        rng = random.Random(17)
+        for _ in range(400):
+            f = random_poly(rng, inf_prob=0.3)
+            c = canonicalize(f).poly
+            j = rng.randrange(len(c.coeffs))
+            bumped = list(c.coeffs)
+            bumped[j] = ExtendedRational(bumped[j].frac + rng.choice([-1, 1]) * Fraction(1, 3))
+            for g in (c, TropPoly(c.low_degree, bumped), random_poly(rng)):
+                assert equivalent(f, g) == canonically_equal(f, g)
 
     @given(trop_polys(allow_zero=False))
     @settings(max_examples=80)

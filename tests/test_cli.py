@@ -99,6 +99,40 @@ class TestExitCodes:
     def test_unknown_verb_is_2(self, capsys):
         assert main(["frobnicate", "x"]) == 2
 
+    def test_expand_json_wrong_types_is_2(self, capsys):
+        fac = '{"leading":"0","monomial_degree":2.7,"roots":"12"}'
+        code, out, err = run(capsys, "expand", fac)
+        assert (code, out) == (2, "")
+        assert "parse error" in err and "monomial_degree" in err
+
+
+class TestArgv:
+    @pytest.mark.parametrize("verb", ["canon", "eval", "equiv", "expand", "plot"])
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_verb_help(self, capsys, verb, flag):
+        code, out, err = run(capsys, verb, flag)
+        assert code == 0
+        assert out.startswith(f"usage: tropoly {verb}")
+        assert err == ""
+
+    def test_help_after_an_argument(self, capsys):
+        code, out, _ = run(capsys, "--json", "eval", "x + 1", "--help")
+        assert code == 0
+        assert out.startswith("usage: tropoly eval")
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["canon", "-2x + 1"], "-2x + 1"),
+            (["canon", "-2x"], "-2x"),
+            (["--json", "canon", "-1/2"], '{"low_degree": 0, "coeffs": ["-1/2"]}'),
+            (["eval", "-1x^2 + 3", "-3"], "-7"),
+            (["equiv", "-2x + 1", "-2x + 1 + 5x^2"], "false"),
+        ],
+    )
+    def test_leading_minus_is_an_argument(self, capsys, argv, expected):
+        assert run(capsys, *argv)[:2] == (0, expected)
+
 
 class TestPipeClosure:
     def test_outputs_reparse(self, capsys):

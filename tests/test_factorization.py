@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from tropoly import (
     DomainError,
+    ParseError,
     Factorization,
     INFINITY,
     ZERO_POLY,
@@ -124,6 +125,23 @@ class TestZeroLocus:
         assert zero_locus(parse("x^3 + 1x^2 + 3x + 6")) == [q(1), q(2), q(3)]
 
     @given(trop_polys(allow_zero=False))
+    @settings(max_examples=150)
+    def test_equals_distinct_factor_roots(self, f):
+        """The corner locus read off the hull edges agrees with the
+        distinct roots of the factorization, and multiplicities with
+        their counts."""
+        roots = factor(f).roots
+        assert zero_locus(f) == sorted(set(roots))
+        for d in set(roots):
+            assert multiplicity(f, d) == roots.count(d)
+
+    def test_equals_distinct_factor_roots_seeded(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            f = random_poly(rng, max_degree=rng.choice([4, 12, 60]), inf_prob=0.3)
+            assert zero_locus(f) == sorted(set(factor(f).roots))
+
+    @given(trop_polys(allow_zero=False))
     @settings(max_examples=100)
     def test_equals_breakpoints_of_canonical(self, f):
         assert zero_locus(f) == breakpoints(canonicalize(f).poly)
@@ -196,3 +214,24 @@ class TestTextAndJson:
     @settings(max_examples=60)
     def test_json_round_trip(self, fac):
         assert factorization_from_json(factorization_to_json(fac)) == fac
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"leading": "0", "monomial_degree": 2.7, "roots": ["1"]},
+            {"leading": "0", "monomial_degree": 2.0, "roots": ["1"]},
+            {"leading": "0", "monomial_degree": True, "roots": ["1"]},
+            {"leading": "0", "monomial_degree": "2", "roots": ["1"]},
+            {"leading": "0", "monomial_degree": None, "roots": ["1"]},
+            {"leading": "0", "monomial_degree": 0, "roots": "12"},
+            {"leading": "0", "monomial_degree": 0, "roots": {"1": "2"}},
+            {"leading": "0", "monomial_degree": 0, "roots": [1, 2]},
+            {"leading": "0", "monomial_degree": 0, "roots": [["1"]]},
+            {"leading": 0, "monomial_degree": 0, "roots": []},
+            {"leading": "0", "roots": []},
+            ["0", 0, []],
+        ],
+    )
+    def test_json_wrong_types_rejected(self, data):
+        with pytest.raises(ParseError):
+            factorization_from_json(data)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,14 @@ from tropoly import (
     trop_add,
 )
 
-from conftest import finite_scalars, trop_polys
+from conftest import (
+    finite_scalars,
+    probe_points,
+    random_poly,
+    scan_argmin,
+    scan_evaluate,
+    trop_polys,
+)
 
 
 def q(n, d=1):
@@ -55,6 +64,54 @@ class TestNormalize:
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
             TropPoly(0, [INFINITY, q(1)])
+
+    def test_attributes_are_read_only(self):
+        f = P("x^2 + 4x + 6")
+        assert f.evaluate(q(10)) == q(6)  # memoizes the hull
+        with pytest.raises(AttributeError):
+            f.coeffs = (q(0),)
+        with pytest.raises(AttributeError):
+            f.low_degree = 3
+        assert f == TropPoly(0, [q(6), q(4), q(0)])
+        assert f.evaluate(q(10)) == q(6)
+
+
+def _special_polys():
+    """Shapes the random corpus rarely draws: monomials, long collinear
+    runs (with and without interior inf), and many corners."""
+    yield TropPoly(5, [q(3)])
+    yield TropPoly(0, [q(-1, 3)])
+    yield TropPoly(0, [q(j) for j in range(200)])
+    yield TropPoly(2, [q(7 - 3 * j, 2) for j in range(150)])
+    yield TropPoly(0, [INFINITY if j % 3 == 1 else q(2 * j) for j in range(100)])
+    yield TropPoly(0, [q(j * j, 2) for j in range(120)])
+    yield TropPoly(1, [q(abs(j - 40) * (j % 5)) for j in range(90)])
+    yield TropPoly(0, [q(0), INFINITY, INFINITY, INFINITY, q(0)])
+
+
+def _hull_query_cases():
+    rng = random.Random(7)
+    yield from _special_polys()
+    for _ in range(400):
+        yield random_poly(rng, max_degree=rng.choice([3, 12, 40]), inf_prob=rng.choice([0.0, 0.1, 0.5]))
+
+
+class TestHullQueriesMatchTermScan:
+    """evaluate / argmin_monomials read the lower hull; the term scan over
+    every finite coefficient is the reference."""
+
+    @given(trop_polys(allow_zero=False), finite_scalars)
+    @settings(max_examples=150)
+    def test_hypothesis(self, f, x):
+        for y in probe_points(f) + [x]:
+            assert f.evaluate(y) == scan_evaluate(f, y)
+            assert f.argmin_monomials(y) == scan_argmin(f, y)
+
+    def test_seeded(self):
+        for f in _hull_query_cases():
+            for x in probe_points(f) + [q(-1000), q(1000), q(1, 7)]:
+                assert f.evaluate(x) == scan_evaluate(f, x)
+                assert f.argmin_monomials(x) == scan_argmin(f, x)
 
 
 class TestEval:
@@ -214,3 +271,21 @@ class TestJson:
     @settings(max_examples=60)
     def test_round_trip(self, f):
         assert poly_from_json(poly_to_json(f)) == f
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"low_degree": 1.0, "coeffs": ["1"]},
+            {"low_degree": True, "coeffs": ["1"]},
+            {"low_degree": "0", "coeffs": ["1"]},
+            {"low_degree": -1, "coeffs": ["1"]},
+            {"low_degree": 0, "coeffs": "12"},
+            {"low_degree": 0, "coeffs": [1, 2]},
+            {"low_degree": 0, "coeffs": ["1", None]},
+            {"coeffs": ["1"]},
+            ["0", ["1"]],
+        ],
+    )
+    def test_wrong_types_rejected(self, data):
+        with pytest.raises(ParseError):
+            poly_from_json(data)
